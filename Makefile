@@ -25,7 +25,8 @@ race:
 	$(GO) test -race -run 'Fault|Flap|Lossy' ./internal/sim/ ./scenario/
 
 ## bench: engine/transport hot-path benchmarks -> BENCH_engine.json
-## (PortEnqueue, EngineSchedule dense/sparse wheel-vs-heap, SourceSteadyState)
+## (PortEnqueue, EngineSchedule dense/deep/sparse wheel-vs-heap, SourceSteadyState;
+##  every run with -benchmem)
 bench:
 	$(GO) run ./cmd/opera-bench -out BENCH_engine.json
 

@@ -2,14 +2,16 @@
 // and writes the results as machine-readable JSON (BENCH_engine.json by
 // default). It exists so perf numbers travel with CI runs as artifacts
 // instead of living in scrollback: the suite covers the port transmit
-// pipeline (BenchmarkPortEnqueue), the scheduler core under its dense and
-// sparse workloads for both pending-event stores
-// (BenchmarkEngineSchedule/{dense,sparse}/{wheel,heap}), and the
+// pipeline (BenchmarkPortEnqueue), the scheduler core under its dense,
+// deep and sparse workloads for both pending-event stores
+// (BenchmarkEngineSchedule/{dense,deep,sparse}/{wheel,heap}), and the
 // end-to-end Source-driven steady state (BenchmarkSourceSteadyState).
+// Every run passes -benchmem, so B/op and allocs/op are measured even for
+// benchmarks that do not call ReportAllocs.
 //
-// The report also derives the dense wheel-vs-heap speedup — the number
-// the timing-wheel default is justified by — so a regression shows up as
-// a ratio, not two values someone has to divide.
+// The report also derives the wheel-vs-heap speedup per scheduler workload
+// — the number the timing-wheel default is justified by — so a regression
+// shows up as a ratio, not two values someone has to divide.
 package main
 
 import (
@@ -53,9 +55,9 @@ type Result struct {
 // Report is the BENCH_engine.json document.
 type Report struct {
 	Benchmarks []Result `json:"benchmarks"`
-	// Derived ratios, keyed by name. dense_wheel_vs_heap_speedup is
-	// heap ns/op divided by wheel ns/op on the dense workload: > 1 means
-	// the wheel (the engine default) is winning.
+	// Derived ratios, keyed by name. <workload>_wheel_vs_heap_speedup is
+	// heap ns/op divided by wheel ns/op on that scheduler workload (dense,
+	// deep, sparse): > 1 means the wheel (the engine default) is winning.
 	Derived map[string]float64 `json:"derived,omitempty"`
 }
 
@@ -107,7 +109,7 @@ func main() {
 		if *benchtime != "" {
 			bt = *benchtime
 		}
-		cmd := exec.Command("go", "test", "-run", "NONE", "-bench", r.pattern, "-benchtime", bt, r.pkg)
+		cmd := exec.Command("go", "test", "-run", "NONE", "-bench", r.pattern, "-benchmem", "-benchtime", bt, r.pkg)
 		cmd.Stderr = os.Stderr
 		raw, err := cmd.Output()
 		os.Stdout.Write(raw)
@@ -122,11 +124,11 @@ func main() {
 	for _, b := range rep.Benchmarks {
 		byName[b.Name] = b
 	}
-	if w, h := byName["BenchmarkEngineSchedule/dense/wheel"], byName["BenchmarkEngineSchedule/dense/heap"]; w.NsPerOp > 0 {
-		rep.Derived["dense_wheel_vs_heap_speedup"] = h.NsPerOp / w.NsPerOp
-	}
-	if w, h := byName["BenchmarkEngineSchedule/sparse/wheel"], byName["BenchmarkEngineSchedule/sparse/heap"]; w.NsPerOp > 0 {
-		rep.Derived["sparse_wheel_vs_heap_speedup"] = h.NsPerOp / w.NsPerOp
+	for _, wl := range []string{"dense", "deep", "sparse"} {
+		w, h := byName["BenchmarkEngineSchedule/"+wl+"/wheel"], byName["BenchmarkEngineSchedule/"+wl+"/heap"]
+		if w.NsPerOp > 0 {
+			rep.Derived[wl+"_wheel_vs_heap_speedup"] = h.NsPerOp / w.NsPerOp
+		}
 	}
 
 	doc, err := json.MarshalIndent(rep, "", "  ")

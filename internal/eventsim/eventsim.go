@@ -1,9 +1,11 @@
 // Package eventsim provides a deterministic discrete-event simulation engine.
 //
 // The engine maintains a virtual clock with nanosecond resolution and a
-// pluggable pending-event store (see Scheduler): by default a hierarchical
-// timing wheel that schedules and pops the dense, near-monotonic timestamp
-// streams of packet simulation in O(1), with a binary-heap implementation
+// pluggable pending-event store (see Scheduler): by default a two-level
+// hierarchical timing wheel — 1.024 µs buckets of FIFO lists, each opened
+// into 1 ns FIFO slots when the cursor reaches it — that schedules and pops
+// the dense, near-monotonic timestamp streams of packet simulation in O(1)
+// however many events share a bucket, with a binary-heap implementation
 // retained as a differential-testing oracle. Events scheduled for the same
 // instant fire in FIFO order of scheduling — every Scheduler must preserve
 // the (time, seq) total order exactly — which, together with explicit
@@ -85,7 +87,8 @@ type Event struct {
 	fn        func()
 	h         Handler // pre-bound form; takes precedence over fn
 	arg       any
-	pending   bool // in a scheduler and not yet popped
+	next      *Event // intrusive list link, owned by the wheel scheduler
+	pending   bool   // in a scheduler and not yet popped
 	cancelled bool
 }
 

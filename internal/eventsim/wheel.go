@@ -2,109 +2,142 @@ package eventsim
 
 import "math/bits"
 
-// wheelSched is the default Scheduler: a single-level timing wheel (a
-// calendar queue with power-of-two bucket width) backed by a binary-heap
-// overflow tier for events beyond the wheel's horizon.
+// wheelSched is the default Scheduler: a two-level hierarchical timing wheel
+// (Varghese & Lauck, SOSP '87) whose lowest level is 1 ns wide, backed by a
+// binary-heap overflow tier for events beyond the wheel's horizon.
 //
-// The simulator's event streams — slot/slice clock ticks, per-packet
-// serialize→propagate→deliver chains, NDP pacing — are dense and
-// near-monotonic: almost every event is scheduled within a few microseconds
-// of the current time and pops in nearly the order it was pushed. The wheel
-// exploits that: an event lands in bucket (at >> wheelShift) mod
-// wheelBuckets with an O(1) append in the common case (sorted insert with a
-// tail fast path), and Pop walks an occupancy bitmap with
-// bits.TrailingZeros64, so both operations are constant-time for the dense
-// workload where a binary heap pays O(log n) per op.
+// At paper scale one 1.024 µs bucket holds hundreds of events at scattered
+// sub-µs offsets, so a bucket kept sorted pays a binary search and a memmove
+// for almost every push. This wheel never sorts. Coarse buckets (1024 ×
+// 1.024 µs) are intrusive FIFO lists through Event.next, and a push
+// appends; since the engine stamps seq at push, append order is already
+// (at, seq) order among the events of any one nanosecond. When the cursor
+// reaches a bucket, its due events move, in list order, into 1024 one-ns
+// fine slots — FIFO lists of one instant each — with their own bitmap; a
+// push into the open bucket appends to its slot. A push earlier than the
+// open bucket (a RunUntil peek opened one past its deadline) closes it,
+// splicing the slots back onto its coarse list in time order. A raw
+// Scheduler caller pushing out of seq order gets a sorted insert within its
+// slot, so the ordering contract holds for any push sequence.
 //
-// Far-future events — timers parked at MaxTime, blackout recoveries —
-// would force the cursor to crawl across empty revolutions, so anything
-// scheduled at or beyond a full horizon from the cursor goes to the
-// overflow heap instead. Overflow events are never migrated into the
-// wheel: Pop and Peek simply compare the wheel's minimum candidate against
-// the overflow top with Event.before and serve the smaller, which keeps
-// the (time, seq) order exact without any rebucketing pass.
+// Anything a full horizon (≈1.05 ms) or more past the cursor — MaxTime
+// parks, blackout recoveries — goes to the overflow heap rather than make
+// the cursor crawl empty revolutions. Overflow events never migrate: Pop
+// and Peek serve the smaller of the wheel minimum and the overflow top.
 //
 // Invariants:
 //   - cur never exceeds the bucket number of any wheel-resident event
 //     (Push rewinds it), so the bitmap walk cannot pass an unfired event.
-//   - an overflow event was at least a full horizon ahead of cur when
-//     pushed; the cursor advancing later is harmless because overflow is
-//     served by direct comparison, not by horizon membership.
-//   - within a bucket events are kept sorted by (at, seq), so the bucket
-//     head is the bucket's minimum and FIFO order among equal-time events
-//     is preserved exactly (the intra-bucket seq-FIFO invariant).
-//
-// A bucket can hold events from different wheel revolutions after the
-// cursor rewinds; the bitmap walk detects this by checking whether the
-// bucket head's bucket number matches the position being scanned, and
-// falls back to an exact scan of all occupied buckets (slowMin) in the
-// rare case that every resident is more than a full revolution ahead.
+//   - open is -1 or cur; only bucket number open has events in fine slots,
+//     and a non-empty fine level holds the wheel minimum.
+//   - every fine slot is sorted by seq (the intra-bucket seq-FIFO
+//     invariant), so its head is the slot's minimum.
+//   - after rewinds a coarse list may hold later revolutions; opening moves
+//     only the due revolution's events.
 type wheelSched struct {
-	buckets [wheelBuckets]wbucket
-	occ     [wheelWords]uint64 // occupancy bitmap, one bit per bucket
-	occSum  uint16             // summary: bit i set iff occ[i] != 0
-	cur     int64              // absolute bucket number the walk resumes from
-	count   int                // events resident in the wheel (not overflow)
+	buckets [wheelBuckets]evList // coarse level, one bucket per 1.024 µs
+	fine    [wheelBuckets]evList // the open bucket, one slot per ns
+	occ     bitmap               // occupied coarse buckets
+	fineOcc bitmap               // occupied fine slots
+	cur     int64                // absolute bucket number the walk resumes from
+	open    int64                // bucket number held in the fine slots, or -1
+	count   int                  // events resident in the wheel (not overflow)
 
-	// minEv caches the last findWheelMin result (with cur at its bucket).
-	// A Peek immediately followed by a Pop — the engine's stepping
-	// pattern — then costs one bitmap walk, not two. Invalidated when the
-	// min is popped; a Push can only keep it or replace it with the pushed
-	// event (anything landing in an earlier bucket necessarily sorts
-	// before the cached min, and the rewind leaves cur at its bucket).
-	minEv *Event
-
-	// overflow holds events ≥ one horizon ahead of cur at push time. A
-	// concrete heapSched (not Scheduler) so its ops stay devirtualized.
-	overflow heapSched
+	overflow heapSched // events ≥ one horizon past cur at push time
 }
 
 const (
-	// wheelShift gives 1.024 µs buckets: wide enough that a port's
-	// serialize+propagate chain usually stays within a few buckets,
-	// narrow enough that a bucket rarely holds more than a handful of
-	// events at datacenter link rates.
-	wheelShift = 10
-	// wheelBuckets × bucket width ≈ 1.05 ms of horizon — comfortably
-	// beyond slice periods and NDP RTOs, so only genuinely far-future
-	// events (MaxTime parks, blackout recoveries) hit the overflow heap.
-	wheelBuckets = 1024
+	// 1.024 µs buckets of 1024 one-ns slots, so one mask serves both
+	// levels. The ≈1.05 ms horizon is beyond slice periods and NDP RTOs, so
+	// only genuinely far-future events hit the overflow heap.
+	wheelShift   = 10
+	wheelBuckets = 1 << wheelShift
 	wheelMask    = wheelBuckets - 1
 	wheelWords   = wheelBuckets / 64
 )
 
-// wbucket is one wheel slot: events sorted ascending by (at, seq), consumed
-// from the front via head so a pop is O(1).
-type wbucket struct {
-	evs  []*Event
-	head int
+// evList is an intrusive singly linked FIFO of events through Event.next.
+type evList struct{ head, tail *Event }
+
+func (l *evList) append(ev *Event) {
+	if l.tail == nil {
+		l.head = ev
+	} else {
+		l.tail.next = ev
+	}
+	l.tail = ev
 }
 
-// compact shifts the live region to the front of the slice, reclaiming the
-// popped prefix so the backing array's capacity is bounded by the bucket's
-// live high-water mark.
-func (b *wbucket) compact() {
-	if b.head == 0 {
+// insert adds ev in (at, seq) order: an append unless pushed out of order.
+func (l *evList) insert(ev *Event) {
+	if l.tail == nil || l.tail.before(ev) {
+		l.append(ev)
 		return
 	}
-	n := copy(b.evs, b.evs[b.head:])
-	clear(b.evs[n:])
-	b.evs = b.evs[:n]
-	b.head = 0
+	p := &l.head
+	for (*p).before(ev) {
+		p = &(*p).next
+	}
+	ev.next, *p = *p, ev
 }
 
-// NewWheelScheduler returns the timing-wheel pending-event store, the
-// engine default.
-func NewWheelScheduler() Scheduler { return &wheelSched{} }
+// bitmap is an occupancy set of wheelBuckets bits, with a summary word
+// (bit i set iff words[i] != 0) so finding a set bit is O(1).
+type bitmap struct {
+	words [wheelWords]uint64
+	sum   uint16
+}
+
+func (m *bitmap) set(b int) {
+	m.words[b>>6] |= 1 << (uint(b) & 63)
+	m.sum |= 1 << uint(b>>6)
+}
+
+func (m *bitmap) clear(b int) {
+	if m.words[b>>6] &^= 1 << (uint(b) & 63); m.words[b>>6] == 0 {
+		m.sum &^= 1 << uint(b>>6)
+	}
+}
+
+// first returns the lowest set bit of a non-empty bitmap.
+func (m *bitmap) first() int {
+	wi := bits.TrailingZeros16(m.sum)
+	return wi<<6 + bits.TrailingZeros64(m.words[wi])
+}
+
+// next returns the cyclic distance from position p to the nearest set bit
+// at or after it, or -1 if none. Rotating the summary so the words after
+// p's come first makes "nearest non-empty word" one TrailingZeros16.
+func (m *bitmap) next(p int) int {
+	wi := p >> 6
+	if word := m.words[wi] >> (uint(p) & 63); word != 0 {
+		return bits.TrailingZeros64(word)
+	}
+	rot := bits.RotateLeft16(m.sum, -(wi + 1))
+	if rot == 0 {
+		return -1
+	}
+	tz := bits.TrailingZeros16(rot)
+	// tz == wheelWords-1 wraps back to p's own word: its bits below p are
+	// a full revolution ahead, which the unmasked TrailingZeros64 handles.
+	wj := (wi + 1 + tz) & (wheelWords - 1)
+	return 64 - int(uint(p)&63) + tz<<6 + bits.TrailingZeros64(m.words[wj])
+}
+
+// NewWheelScheduler returns the timing-wheel store, the engine default.
+func NewWheelScheduler() Scheduler { return &wheelSched{open: -1} }
 
 func (w *wheelSched) Len() int { return w.count + w.overflow.Len() }
 
 // SchedStats implements SchedulerStats: wheel residents, occupied buckets
-// (the occupancy bitmap's popcount), and the overflow heap's length.
+// (the open one counts while its fine slots hold events), overflow length.
 func (w *wheelSched) SchedStats() SchedStats {
 	buckets := 0
-	for _, word := range w.occ {
+	for _, word := range w.occ.words {
 		buckets += bits.OnesCount64(word)
+	}
+	if b := int(w.open & wheelMask); w.fineOcc.sum != 0 && w.occ.words[b>>6]&(1<<(uint(b)&63)) == 0 {
+		buckets++
 	}
 	return SchedStats{Resident: w.count, Buckets: buckets, Overflow: w.overflow.Len()}
 }
@@ -113,184 +146,151 @@ func (w *wheelSched) Push(ev *Event) {
 	abs := int64(ev.at) >> wheelShift
 	if abs < w.cur {
 		// Rewind: the walk must never resume past a resident event.
+		w.close()
 		w.cur = abs
 	}
 	if abs >= w.cur+wheelBuckets {
 		w.overflow.Push(ev)
 		return
 	}
-	if w.minEv != nil && ev.before(w.minEv) {
-		// cur is already at ev's bucket: abs < cur would contradict the
-		// rewind above, abs > cur would contradict ev preceding the min.
-		w.minEv = ev
+	if w.count == 0 {
+		// Sole resident: open its bucket at once, so a lightly loaded
+		// engine alternating push and pop never walks the bitmap.
+		w.cur, w.open = abs, abs
 	}
-	b := &w.buckets[abs&wheelMask]
-	if n := len(b.evs); n == b.head {
-		// Bucket empty (fresh or fully consumed): restart it.
-		b.evs = append(b.evs[:0], ev)
-		b.head = 0
-		wi := (abs & wheelMask) >> 6
-		w.occ[wi] |= 1 << (uint(abs) & 63)
-		w.occSum |= 1 << uint(wi)
-		w.count++
-		if w.count == 1 {
-			// Sole resident: trivially the wheel minimum. Park the
-			// cursor on it so the next Peek/Pop skips the bitmap walk —
-			// the common shape for a lightly loaded engine alternating
-			// one push with one pop.
-			w.cur = abs
-			w.minEv = ev
-		}
-		return
-	}
-	if len(b.evs) == cap(b.evs) && b.head > 0 {
-		// About to grow while a dead prefix of popped slots exists — a
-		// bucket that interleaves pops and pushes (sub-µs event chains
-		// landing in the current bucket) would otherwise grow without
-		// bound. Compact the live region to the front instead.
-		b.compact()
-	}
-	if !ev.before(b.evs[len(b.evs)-1]) {
-		// Near-monotonic fast path: new event sorts last.
-		b.evs = append(b.evs, ev)
-		w.count++
-		return
-	}
-	lo, hi := b.head, len(b.evs)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if b.evs[mid].before(ev) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	b.evs = append(b.evs, nil)
-	copy(b.evs[lo+1:], b.evs[lo:])
-	b.evs[lo] = ev
 	w.count++
+	if abs == w.open {
+		w.pushFine(ev)
+		return
+	}
+	b := int(abs & wheelMask)
+	w.buckets[b].append(ev)
+	w.occ.set(b)
+}
+
+func (w *wheelSched) pushFine(ev *Event) {
+	s := int(ev.at) & wheelMask
+	w.fine[s].insert(ev)
+	w.fineOcc.set(s)
 }
 
 func (w *wheelSched) Pop() *Event {
-	wm := w.findWheelMin()
-	if om := w.overflow.Peek(); om != nil && (wm == nil || om.before(wm)) {
+	wm, over := w.min()
+	if over {
 		ev := w.overflow.Pop()
-		if w.count == 0 {
-			// Empty wheel: let the cursor track time through an
-			// overflow-only phase so the next near-future Push lands in
-			// the wheel instead of chasing a stale horizon.
-			if abs := int64(ev.at) >> wheelShift; abs > w.cur {
-				w.cur = abs
-			}
+		// Empty wheel: let the cursor track time through an overflow-only
+		// phase, so the next near-future Push lands in the wheel.
+		if abs := int64(ev.at) >> wheelShift; w.count == 0 && abs > w.cur {
+			w.cur, w.open = abs, -1
 		}
 		return ev
 	}
 	if wm == nil {
 		return nil
 	}
-	// findWheelMin left cur at wm's bucket.
-	w.minEv = nil
-	b := &w.buckets[w.cur&wheelMask]
-	b.evs[b.head] = nil
-	b.head++
-	if b.head == len(b.evs) {
-		b.evs = b.evs[:0]
-		b.head = 0
-		wi := (w.cur & wheelMask) >> 6
-		w.occ[wi] &^= 1 << (uint(w.cur) & 63)
-		if w.occ[wi] == 0 {
-			w.occSum &^= 1 << uint(wi)
-		}
+	// min served wm from the head of its fine slot.
+	s := int(wm.at) & wheelMask
+	l := &w.fine[s]
+	if l.head = wm.next; l.head == nil {
+		l.tail = nil
+		w.fineOcc.clear(s)
 	}
+	wm.next = nil
 	w.count--
 	return wm
 }
 
 func (w *wheelSched) Peek() *Event {
-	wm := w.findWheelMin()
+	ev, _ := w.min()
+	return ev
+}
+
+// min returns the overall minimum event, reporting whether it is the
+// overflow top; a wheel minimum is the head of the first fine slot.
+func (w *wheelSched) min() (*Event, bool) {
+	var wm *Event
+	if w.fineOcc.sum != 0 || w.refill() {
+		wm = w.fine[w.fineOcc.first()].head
+	}
 	if om := w.overflow.Peek(); om != nil && (wm == nil || om.before(wm)) {
-		return om
+		return om, true
 	}
-	return wm
+	return wm, false
 }
 
-// findWheelMin returns the minimum wheel-resident event and advances cur to
-// its bucket number, or nil if the wheel is empty. The walk scans at most
-// one full revolution of the bitmap; if every occupied bucket it passes
-// holds only later-revolution residents (possible after deep cursor
-// rewinds), it falls back to the exact slowMin scan.
-func (w *wheelSched) findWheelMin() *Event {
+// refill opens the next due bucket into the empty fine level, or reports an
+// empty wheel. The bitmap walk covers one revolution; if it finds only later
+// revolutions (after deep rewinds), an exact scan of the lists takes over.
+func (w *wheelSched) refill() bool {
 	if w.count == 0 {
-		return nil
+		return false
 	}
-	if w.minEv != nil {
-		return w.minEv
-	}
-	abs := w.cur
-	limit := abs + wheelBuckets
-	for abs < limit {
-		d := w.nextOccupied(int(abs & wheelMask))
-		if d < 0 {
+	for abs, limit := w.cur, w.cur+wheelBuckets; ; abs++ {
+		d := w.occ.next(int(abs & wheelMask))
+		if abs += int64(d); d < 0 || abs >= limit {
 			break
 		}
-		abs += int64(d)
-		if abs >= limit {
-			break
+		if w.openBucket(abs) {
+			return true
 		}
-		b := &w.buckets[abs&wheelMask]
-		head := b.evs[b.head]
-		if int64(head.at)>>wheelShift == abs {
-			w.cur = abs
-			w.minEv = head
-			return head
-		}
-		// Head belongs to a later revolution; nothing in this bucket is
-		// due at this position. Keep walking.
-		abs++
+		// Only later-revolution residents here; keep walking.
 	}
-	return w.slowMin()
-}
-
-// nextOccupied returns the cyclic distance from bucket position p to the
-// nearest occupied bucket at or after it, or -1 if the bitmap is empty. The
-// occSum summary makes this O(1) even on a nearly empty wheel: rotating it
-// so the words after p's come first turns "nearest non-empty word" into a
-// single TrailingZeros16.
-func (w *wheelSched) nextOccupied(p int) int {
-	wi := p >> 6
-	if word := w.occ[wi] >> (uint(p) & 63); word != 0 {
-		return bits.TrailingZeros64(word)
-	}
-	rot := bits.RotateLeft16(w.occSum, -(wi + 1))
-	if rot == 0 {
-		return -1
-	}
-	tz := bits.TrailingZeros16(rot)
-	// tz == wheelWords-1 wraps back to p's own word: its remaining bits
-	// are all below p, i.e. a full revolution ahead, which the unmasked
-	// TrailingZeros64 handles.
-	wj := (wi + 1 + tz) & (wheelWords - 1)
-	return 64 - int(uint(p)&63) + tz<<6 + bits.TrailingZeros64(w.occ[wj])
-}
-
-// slowMin scans every occupied bucket, returns the overall minimum head by
-// (at, seq), and jumps cur to its bucket. O(occupied buckets), reached only
-// when rewind churn has pushed every resident beyond a revolution from cur.
-func (w *wheelSched) slowMin() *Event {
 	var best *Event
-	for wi, word := range w.occ {
-		for word != 0 {
-			b := wi<<6 + bits.TrailingZeros64(word)
-			word &= word - 1
-			bk := &w.buckets[b]
-			if head := bk.evs[bk.head]; best == nil || head.before(best) {
-				best = head
+	for b := range w.buckets {
+		for ev := w.buckets[b].head; ev != nil; ev = ev.next {
+			if best == nil || ev.before(best) {
+				best = ev
 			}
 		}
 	}
-	if best != nil {
-		w.cur = int64(best.at) >> wheelShift
-		w.minEv = best
+	return w.openBucket(int64(best.at) >> wheelShift)
+}
+
+// openBucket moves bucket number abs's due events, in list order, into the
+// fine slots and reports whether there were any. Residents of later
+// revolutions stay on the coarse list. The fine level must be empty.
+func (w *wheelSched) openBucket(abs int64) bool {
+	b := int(abs & wheelMask)
+	var keep evList
+	for ev := w.buckets[b].head; ev != nil; {
+		next := ev.next
+		ev.next = nil
+		if int64(ev.at)>>wheelShift == abs {
+			w.pushFine(ev)
+		} else {
+			keep.append(ev)
+		}
+		ev = next
 	}
-	return best
+	if w.buckets[b] = keep; keep.head == nil {
+		w.occ.clear(b)
+	}
+	if w.fineOcc.sum == 0 {
+		return false
+	}
+	w.cur, w.open = abs, abs
+	return true
+}
+
+// close splices the open bucket's fine slots, in time order, back onto the
+// front of its coarse list, ahead of any later-revolution residents.
+func (w *wheelSched) close() {
+	if w.fineOcc.sum != 0 {
+		var chain evList
+		for w.fineOcc.sum != 0 {
+			s := w.fineOcc.first()
+			chain.append(w.fine[s].head)
+			chain.tail = w.fine[s].tail
+			w.fine[s] = evList{}
+			w.fineOcc.clear(s)
+		}
+		b := int(w.open & wheelMask)
+		l := &w.buckets[b]
+		if chain.tail.next = l.head; l.tail == nil {
+			l.tail = chain.tail
+		}
+		l.head = chain.head
+		w.occ.set(b)
+	}
+	w.open = -1
 }

@@ -159,6 +159,7 @@ func TestFig08SmallShuffle(t *testing.T) {
 			t.Fatalf("network %s completed nothing", r[0])
 		}
 	}
+	checkGolden(t, "fig08_small_shuffle", tables)
 }
 
 func TestFig10MixedTiny(t *testing.T) {
@@ -187,6 +188,7 @@ func TestFig10MixedTiny(t *testing.T) {
 			t.Fatalf("unexpected tag %q", r[2])
 		}
 	}
+	checkGolden(t, "fig10_mixed_tiny", tables)
 }
 
 func TestFig07TinyRun(t *testing.T) {
@@ -204,4 +206,5 @@ func TestFig07TinyRun(t *testing.T) {
 	if len(tables[0].Rows) == 0 {
 		t.Fatal("no FCT rows")
 	}
+	checkGolden(t, "fig07_tiny_run", tables)
 }

@@ -26,20 +26,27 @@ type rackAgent struct {
 	// vlbBudget caps, per slice, how many VLB bytes may be carved from
 	// each host — a host can physically transmit only one window's worth,
 	// so offering more would strand carved bytes until the window closes.
-	vlbBudget map[int32]int64
+	// Indexed by host ID minus firstHost, the rack's first host.
+	vlbBudget []int64
+	firstHost int32
+
+	// circuits is the buffer ActiveCircuits refills every slice.
+	circuits []sim.Circuit
 
 	// SentDirect/SentRelay/SentVLB count bytes launched per path type.
 	SentDirect, SentRelay, SentVLB uint64
 }
 
 func newRackAgent(lb *LB, rack int) *rackAgent {
-	n := lb.net.NumRacks()
+	n, hosts := lb.net.NumRacks(), lb.net.HostsPerRack()
 	return &rackAgent{
-		lb:      lb,
-		rack:    rack,
-		voq:     make([]segQueue, n),
-		relay:   make([]segQueue, n),
-		nicFree: make(map[int32]eventsim.Time),
+		lb:        lb,
+		rack:      rack,
+		voq:       make([]segQueue, n),
+		relay:     make([]segQueue, n),
+		nicFree:   make(map[int32]eventsim.Time),
+		vlbBudget: make([]int64, hosts),
+		firstHost: int32(rack * hosts),
 	}
 }
 
@@ -64,36 +71,33 @@ func (a *rackAgent) QueuedFor(dst int) (own, relayed int64) {
 }
 
 // openSessions starts one paced transmission session per active circuit at
-// a slice boundary, after the offer/accept exchange for VLB admission.
+// a slice boundary, after the offer/accept exchange for VLB admission. The
+// budget, circuit buffer and sessions are reused, so a slice without bulk
+// traffic allocates nothing.
 func (a *rackAgent) openSessions(abs int64) {
 	net := a.lb.net
-	circuits := net.ActiveCircuits(abs, a.rack)
+	a.circuits = net.ActiveCircuits(a.circuits[:0], abs, a.rack)
 	now := net.Engine().Now()
 	sliceBytes := int64(net.Config().BytesIn(net.SliceDuration()))
-	a.vlbBudget = make(map[int32]int64, net.HostsPerRack())
-	lo := a.rack * net.HostsPerRack()
-	for i := 0; i < net.HostsPerRack(); i++ {
-		a.vlbBudget[int32(lo+i)] = sliceBytes
+	for i := range a.vlbBudget {
+		a.vlbBudget[i] = sliceBytes
 	}
-	for _, c := range circuits {
-		c := c
+	for _, c := range a.circuits {
+		sess := a.lb.sessions.Get()
+		if sess == nil {
+			sess = new(session)
+		}
+		sess.agent, sess.circuit, sess.deadline = a, c, now+c.WindowEnd
 		windowBytes := int64(net.Config().BytesIn(c.WindowEnd - c.WindowStart))
 		// VLB offer/accept (§3.4, RotorLB phase 3): if this circuit's
 		// direct demand leaves spare capacity and other queues are skewed,
 		// ask the peer to relay. The exchange is modelled as in-band
 		// control at slice start with negligible size.
-		var vlbQ segQueue
 		if !a.lb.params.DisableVLB {
 			spare := windowBytes - a.relay[c.Peer].bytes - a.voq[c.Peer].bytes
 			if spare > int64(net.Config().MTU) {
-				a.negotiateVLB(c.Peer, spare, &vlbQ)
+				a.negotiateVLB(c.Peer, spare, &sess.vlbQ)
 			}
-		}
-		sess := &session{
-			agent:    a,
-			circuit:  c,
-			deadline: now + c.WindowEnd,
-			vlbQ:     vlbQ,
 		}
 		startAt := c.WindowStart + a.lb.params.StartMargin
 		net.Engine().AfterCall(startAt, sess, nil)
@@ -137,7 +141,7 @@ func (a *rackAgent) negotiateVLB(peer int, spare int64, vlbQ *segQueue) {
 			if !nonEmpty {
 				break
 			}
-			budget := a.vlbBudget[h]
+			budget := a.vlbBudget[h-a.firstHost]
 			if budget <= 0 {
 				break // this host cannot physically send more this slice
 			}
@@ -150,7 +154,7 @@ func (a *rackAgent) negotiateVLB(peer int, spare int64, vlbQ *segQueue) {
 				break
 			}
 			vlbQ.push(seg)
-			a.vlbBudget[h] -= seg.bytes
+			a.vlbBudget[h-a.firstHost] -= seg.bytes
 			granted -= seg.bytes
 			spare -= seg.bytes
 		}
@@ -294,16 +298,22 @@ func (s *session) pump() {
 
 // close returns any admitted-but-unsent VLB bytes to their origin queues;
 // they never left their hosts, so they simply wait for a later circuit.
+// The session then goes back to the pool with its emptied VLB queue's
+// capacity: nothing else references it once its pump stops rescheduling.
 func (s *session) close() {
 	a := s.agent
 	for {
 		seg, ok := s.vlbQ.carve(1 << 62)
 		if !ok {
-			return
+			break
 		}
 		seg.hops = 0
 		a.voq[seg.f.DstRack].pushFront(seg)
 	}
+	segs := s.vlbQ.segs[:cap(s.vlbQ.segs)]
+	clear(segs)
+	*s = session{vlbQ: segQueue{segs: segs[:0]}}
+	a.lb.sessions.Put(s)
 }
 
 // newBulkPacket materializes a segment chunk as a wire packet.

@@ -16,6 +16,7 @@ package rotorlb
 
 import (
 	"github.com/opera-net/opera/internal/eventsim"
+	"github.com/opera-net/opera/internal/freelist"
 	"github.com/opera-net/opera/internal/sim"
 )
 
@@ -128,6 +129,9 @@ type LB struct {
 	params   Params
 	registry map[int64]*sim.Flow
 	agents   []*rackAgent
+
+	// sessions pools closed circuit sessions for the next slice.
+	sessions freelist.Pool[session]
 
 	// NACKs counts requeue events observed by senders.
 	NACKs uint64

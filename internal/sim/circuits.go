@@ -36,8 +36,10 @@ type CircuitNetwork interface {
 	// matching. RotorLB uses it to fully offload stranded queues via VLB
 	// and to decline relaying toward unreachable destinations.
 	DirectReachable(rack, dst int) bool
-	// ActiveCircuits lists the circuits rack may use during absSlice.
-	ActiveCircuits(absSlice int64, rack int) []Circuit
+	// ActiveCircuits appends the circuits rack may use during absSlice to
+	// dst and returns the extended slice, so a caller reusing one buffer
+	// lists them every slice without allocating.
+	ActiveCircuits(dst []Circuit, absSlice int64, rack int) []Circuit
 }
 
 // NumRacks implements CircuitNetwork.
@@ -68,10 +70,9 @@ func (n *OperaNet) DirectReachable(rack, dst int) bool {
 // (self-loops excluded), with the bulk admission window of §3.5/§4.1 —
 // full slice minus guards for stable switches, truncated before the
 // reconfiguration blackout for the transitioning one.
-func (n *OperaNet) ActiveCircuits(absSlice int64, rack int) []Circuit {
+func (n *OperaNet) ActiveCircuits(dst []Circuit, absSlice int64, rack int) []Circuit {
 	topo := n.topo
 	sc := int(absSlice % int64(topo.SlicesPerCycle()))
-	out := make([]Circuit, 0, topo.Uplinks())
 	for sw := 0; sw < topo.Uplinks(); sw++ {
 		peer := topo.SwitchMatching(sw, sc).Peer(rack)
 		if peer == rack {
@@ -87,7 +88,7 @@ func (n *OperaNet) ActiveCircuits(absSlice int64, rack int) []Circuit {
 		if end <= start {
 			continue
 		}
-		out = append(out, Circuit{Switch: sw, Peer: peer, WindowStart: start, WindowEnd: end})
+		dst = append(dst, Circuit{Switch: sw, Peer: peer, WindowStart: start, WindowEnd: end})
 	}
-	return out
+	return dst
 }

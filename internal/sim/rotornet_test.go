@@ -21,7 +21,7 @@ func TestRotorNetActiveCircuits(t *testing.T) {
 	n := rotorSim(t, false)
 	for slot := int64(0); slot < int64(n.Topology().SlotsPerCycle()); slot++ {
 		for rack := 0; rack < 16; rack++ {
-			cs := n.ActiveCircuits(slot, rack)
+			cs := n.ActiveCircuits(nil, slot, rack)
 			// Up to 4 circuits (self-loops excluded), all sharing the
 			// unison window.
 			if len(cs) > 4 {
