@@ -7,6 +7,7 @@ package opera_test
 // paper-vs-measured comparison.
 
 import (
+	"runtime"
 	"strconv"
 	"testing"
 
@@ -252,6 +253,41 @@ func BenchmarkSourceSteadyState(b *testing.B) {
 	}
 	b.ReportMetric(flows, "flows/op")
 	b.ReportMetric(events, "sim-events/op")
+}
+
+// BenchmarkClusterAddFlows is the Cluster.AddFlow layer rung: it admits a
+// 648-host all-to-all shuffle (419,256 application-tagged bulk flows, all
+// due at time 0) into a fresh Opera cluster at the §5 scale (108 racks × 6
+// hosts × 6 uplinks). Building the cluster and the spec list stays outside
+// the timer, so ns/flow and allocs/flow price admission alone: the flow
+// record, the registry, metrics registration and RotorLB's queue push.
+func BenchmarkClusterAddFlows(b *testing.B) {
+	const racks, hosts = 108, 6
+	specs := workload.Shuffle(racks*hosts, 10_000, 0, 1)
+	var mallocs uint64
+	var ms runtime.MemStats
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		cl, err := opera.New(opera.KindOpera,
+			opera.WithRacks(racks), opera.WithHostsPerRack(hosts), opera.WithUplinks(6),
+			opera.WithAppTaggedBulk(true), opera.WithSeed(1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		runtime.ReadMemStats(&ms)
+		before := ms.Mallocs
+		b.StartTimer()
+		cl.AddFlows(specs)
+		b.StopTimer()
+		runtime.ReadMemStats(&ms)
+		mallocs += ms.Mallocs - before
+		cl.Stop()
+		b.StartTimer()
+	}
+	flows := float64(b.N) * float64(len(specs))
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/flows, "ns/flow")
+	b.ReportMetric(float64(mallocs)/flows, "allocs/flow")
 }
 
 // Ablation benches: the design choices DESIGN.md calls out.

@@ -4,8 +4,10 @@
 // instead of living in scrollback: the suite covers the port transmit
 // pipeline (BenchmarkPortEnqueue), the scheduler core under its dense,
 // deep and sparse workloads for both pending-event stores
-// (BenchmarkEngineSchedule/{dense,deep,sparse}/{wheel,heap}), and the
-// end-to-end Source-driven steady state (BenchmarkSourceSteadyState).
+// (BenchmarkEngineSchedule/{dense,deep,sparse}/{wheel,heap}), flow
+// admission through Cluster.AddFlow at the §5 scale
+// (BenchmarkClusterAddFlows: ns/flow and allocs/flow), and the end-to-end
+// Source-driven steady state (BenchmarkSourceSteadyState).
 // Every run passes -benchmem, so B/op and allocs/op are measured even for
 // benchmarks that do not call ReportAllocs.
 //
@@ -37,7 +39,7 @@ type run struct {
 var runs = []run{
 	{pkg: "./internal/sim/", pattern: "^BenchmarkPortEnqueue", time: "1s"},
 	{pkg: "./internal/eventsim/", pattern: "^BenchmarkEngineSchedule$", time: "1s"},
-	{pkg: ".", pattern: "^BenchmarkSourceSteadyState$", time: "1x"},
+	{pkg: ".", pattern: "^Benchmark(ClusterAddFlows|SourceSteadyState)$", time: "1x"},
 }
 
 // Result is one benchmark line, parsed.

@@ -24,7 +24,7 @@ import (
 
 // hotPathPackages are the import-path bases where per-event allocations
 // are on the packet-forwarding critical path.
-var hotPathPackages = []string{"sim", "ndp", "rotorlb", "eventsim", "freelist", "obs"}
+var hotPathPackages = []string{"sim", "ndp", "rotorlb", "eventsim", "freelist", "idtable", "obs"}
 
 var Analyzer = &analysis.Analyzer{
 	Name: "noclosuresched",

@@ -1,6 +1,9 @@
 package ndp
 
-import "github.com/opera-net/opera/internal/sim"
+import (
+	"github.com/opera-net/opera/internal/idtable"
+	"github.com/opera-net/opera/internal/sim"
+)
 
 // Fabric bundles a cluster's per-host NDP endpoints behind the single
 // flow-admission surface of sim.Transport: a started flow is handed to the
@@ -13,7 +16,7 @@ var _ sim.Transport = (*Fabric)(nil)
 
 // AttachFabric installs NDP on every host (see Attach) and returns the
 // endpoints wrapped as a Transport.
-func AttachFabric(hosts []*sim.Host, metrics *sim.Metrics, params Params, registry map[int64]*sim.Flow) *Fabric {
+func AttachFabric(hosts []*sim.Host, metrics *sim.Metrics, params Params, registry *idtable.Table[sim.Flow]) *Fabric {
 	return &Fabric{eps: Attach(hosts, metrics, params, registry)}
 }
 

@@ -14,6 +14,7 @@ import (
 
 	"github.com/opera-net/opera/internal/eventsim"
 	"github.com/opera-net/opera/internal/freelist"
+	"github.com/opera-net/opera/internal/idtable"
 	"github.com/opera-net/opera/internal/sim"
 )
 
@@ -39,8 +40,12 @@ type Endpoint struct {
 	params  Params
 	metrics *sim.Metrics
 
-	sendFlows map[int64]*sendFlow
-	recvFlows map[int64]*recvFlow
+	// sendFlows and recvFlows hold flow state by flow ID. They are shared
+	// by every endpoint of one Attach call: each flow has exactly one
+	// sender and one receiver endpoint, so one table each serves the
+	// fabric.
+	sendFlows *idtable.Table[sendFlow]
+	recvFlows *idtable.Table[recvFlow]
 
 	// PULL pacing: one pull per MTU serialization time, round-robin across
 	// flows with credits. paceH is the pre-bound pacer tick
@@ -55,7 +60,7 @@ type Endpoint struct {
 
 	// registry maps flow IDs to flows so receivers can size their state on
 	// first contact (shared across the cluster's endpoints).
-	registry map[int64]*sim.Flow
+	registry *idtable.Table[sim.Flow]
 
 	// Fallback handler for packets that are not NDP's (e.g. RotorLB bulk
 	// sharing the host).
@@ -74,9 +79,29 @@ type Endpoint struct {
 // per flow forever; with pooling the steady state is allocation-free.
 // Under RetainAll nothing is ever released, so the pools stay empty and
 // behavior is unchanged.
+//
+// When a pool is empty, fresh state is carved from a chunk of flowChunk
+// structs allocated together, so admitting a flow costs a fraction of an
+// allocation even when nothing is ever released (RetainAll).
 type flowPools struct {
-	send freelist.Pool[sendFlow]
-	recv freelist.Pool[recvFlow]
+	send      freelist.Pool[sendFlow]
+	recv      freelist.Pool[recvFlow]
+	sendChunk []sendFlow
+	recvChunk []recvFlow
+}
+
+// flowChunk is how many flow-state structs one allocation provides.
+const flowChunk = 64
+
+// carve returns the next fresh struct of chunk, allocating a new chunk when
+// it is used up.
+func carve[T any](chunk *[]T) *T {
+	if len(*chunk) == 0 {
+		*chunk = make([]T, flowChunk)
+	}
+	x := &(*chunk)[0]
+	*chunk = (*chunk)[1:]
+	return x
 }
 
 // resetBits returns a zeroed bitmap of the given word count, reusing b's
@@ -96,16 +121,17 @@ func resetBits(b []uint64, words int32) []uint64 {
 // handler for non-NDP packets. registry is the cluster's flow table, which
 // receivers consult to size their state on first contact. It returns one
 // endpoint per host, indexed by host ID.
-func Attach(hosts []*sim.Host, metrics *sim.Metrics, params Params, registry map[int64]*sim.Flow) []*Endpoint {
+func Attach(hosts []*sim.Host, metrics *sim.Metrics, params Params, registry *idtable.Table[sim.Flow]) []*Endpoint {
 	eps := make([]*Endpoint, len(hosts))
 	pools := &flowPools{}
+	sendFlows, recvFlows := &idtable.Table[sendFlow]{}, &idtable.Table[recvFlow]{}
 	for i, h := range hosts {
 		ep := &Endpoint{
 			host:      h,
 			params:    params,
 			metrics:   metrics,
-			sendFlows: make(map[int64]*sendFlow),
-			recvFlows: make(map[int64]*recvFlow),
+			sendFlows: sendFlows,
+			recvFlows: recvFlows,
 			registry:  registry,
 			next:      h.Handler,
 			pools:     pools,
@@ -135,16 +161,18 @@ type sendFlow struct {
 	nAcked  int32
 	rto     eventsim.Timer
 	done    bool
+	ackWord [1]uint64 // acked's initial backing: flows of ≤ 64 packets need no bitmap allocation
 }
 
 // OnEvent implements eventsim.Handler: the flow's RTO fired.
 func (sf *sendFlow) OnEvent(any) { sf.ep.onRTO(sf) }
 
 type recvFlow struct {
-	f     *sim.Flow
-	total int32
-	got   []uint64
-	nGot  int32
+	f       *sim.Flow
+	total   int32
+	got     []uint64
+	nGot    int32
+	gotWord [1]uint64 // got's initial backing, like sendFlow.ackWord
 }
 
 // StartFlow begins sending flow f from this endpoint's host. The flow must
@@ -160,7 +188,8 @@ func (ep *Endpoint) StartFlow(f *sim.Flow) {
 	}
 	sf := ep.pools.send.Get()
 	if sf == nil {
-		sf = &sendFlow{}
+		sf = carve(&ep.pools.sendChunk)
+		sf.acked = sf.ackWord[:]
 	}
 	*sf = sendFlow{
 		ep:    ep,
@@ -170,7 +199,7 @@ func (ep *Endpoint) StartFlow(f *sim.Flow) {
 		acked: resetBits(sf.acked, (total+63)/64),
 	}
 	sf.rto.BindCall(ep.host.Engine(), sf, nil)
-	ep.sendFlows[f.ID] = sf
+	ep.sendFlows.Put(f.ID, sf)
 	f.Start = ep.host.Engine().Now()
 
 	iw := int32(ep.params.InitialWindow)
@@ -231,9 +260,9 @@ func (ep *Endpoint) handle(p *sim.Packet) {
 // recvState finds or creates receiver state, consulting the cluster flow
 // registry on first contact.
 func (ep *Endpoint) recvState(p *sim.Packet) *recvFlow {
-	rf := ep.recvFlows[p.FlowID]
+	rf := ep.recvFlows.Get(p.FlowID)
 	if rf == nil {
-		f := ep.registry[p.FlowID]
+		f := ep.registry.Get(p.FlowID)
 		if f == nil {
 			return nil
 		}
@@ -244,10 +273,11 @@ func (ep *Endpoint) recvState(p *sim.Packet) *recvFlow {
 		}
 		rf = ep.pools.recv.Get()
 		if rf == nil {
-			rf = &recvFlow{}
+			rf = carve(&ep.pools.recvChunk)
+			rf.got = rf.gotWord[:]
 		}
 		*rf = recvFlow{f: f, total: total, got: resetBits(rf.got, (total+63)/64)}
-		ep.recvFlows[p.FlowID] = rf
+		ep.recvFlows.Put(p.FlowID, rf)
 	}
 	return rf
 }
@@ -308,14 +338,14 @@ func (ep *Endpoint) onData(p *sim.Packet) {
 		// FlowDone above, so drop the receiver state (bitmap, flow ref) —
 		// the per-flow memory that would otherwise accumulate forever —
 		// and recycle it through the fabric pool.
-		delete(ep.recvFlows, p.FlowID)
+		ep.recvFlows.Delete(p.FlowID)
 		ep.releaseRecv(rf)
 	}
 	p.Release()
 }
 
 func (ep *Endpoint) onAck(p *sim.Packet) {
-	sf := ep.sendFlows[p.FlowID]
+	sf := ep.sendFlows.Get(p.FlowID)
 	if sf != nil && !sf.done {
 		idx, bit := p.Seq/64, uint(p.Seq%64)
 		if sf.acked[idx]&(1<<bit) == 0 {
@@ -330,7 +360,7 @@ func (ep *Endpoint) onAck(p *sim.Packet) {
 				// this sender state again, so release it (streaming
 				// retention keeps per-flow memory O(active flows)) and
 				// recycle it through the fabric pool.
-				delete(ep.sendFlows, p.FlowID)
+				ep.sendFlows.Delete(p.FlowID)
 				ep.releaseSend(sf)
 			}
 		} else {
@@ -341,7 +371,7 @@ func (ep *Endpoint) onAck(p *sim.Packet) {
 }
 
 func (ep *Endpoint) onNack(p *sim.Packet) {
-	sf := ep.sendFlows[p.FlowID]
+	sf := ep.sendFlows.Get(p.FlowID)
 	if sf != nil && !sf.done {
 		sf.rtx = append(sf.rtx, p.Seq)
 		sf.f.Retransmits++
@@ -351,7 +381,7 @@ func (ep *Endpoint) onNack(p *sim.Packet) {
 }
 
 func (ep *Endpoint) onPull(p *sim.Packet) {
-	sf := ep.sendFlows[p.FlowID]
+	sf := ep.sendFlows.Get(p.FlowID)
 	if sf != nil && !sf.done {
 		switch {
 		case len(sf.rtx) > 0:
@@ -445,7 +475,7 @@ func (h *pacerTick) OnEvent(any) {
 		ep.pullCredits = ep.pullCredits[:0]
 		ep.pullHead = 0
 	}
-	if rf := ep.recvFlows[id]; rf != nil && !rf.complete() {
+	if rf := ep.recvFlows.Get(id); rf != nil && !rf.complete() {
 		ep.sendCtrl(sim.KindPull, rf.f, 0, 0)
 	}
 	ep.pace()

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/opera-net/opera/internal/eventsim"
+	"github.com/opera-net/opera/internal/idtable"
 	"github.com/opera-net/opera/internal/sim"
 	"github.com/opera-net/opera/internal/telemetry"
 )
@@ -33,7 +34,7 @@ type rig struct {
 	sw       *miniSwitch
 	metrics  *sim.Metrics
 	eps      []*Endpoint
-	registry map[int64]*sim.Flow
+	registry *idtable.Table[sim.Flow]
 }
 
 func newRig(t *testing.T, n int, cfg sim.Config) *rig {
@@ -42,7 +43,7 @@ func newRig(t *testing.T, n int, cfg sim.Config) *rig {
 		eng:      eventsim.New(),
 		cfg:      cfg,
 		metrics:  sim.NewMetrics(),
-		registry: make(map[int64]*sim.Flow),
+		registry: &idtable.Table[sim.Flow]{},
 	}
 	r.sw = &miniSwitch{ports: make(map[int32]*sim.Port)}
 	for i := 0; i < n; i++ {
@@ -58,7 +59,7 @@ func newRig(t *testing.T, n int, cfg sim.Config) *rig {
 func (r *rig) flow(id int64, src, dst int, size int64) *sim.Flow {
 	f := &sim.Flow{ID: id, SrcHost: int32(src), DstHost: int32(dst), Size: size,
 		Class: sim.ClassLowLatency}
-	r.registry[id] = f
+	r.registry.Put(id, f)
 	r.metrics.AddFlow(f)
 	return f
 }
@@ -183,7 +184,7 @@ func streamingRig(t *testing.T, n int, cfg sim.Config) *rig {
 	t.Helper()
 	r := newRig(t, n, cfg)
 	r.metrics.SetRetention(sim.RetainSketch(telemetry.Opts{}))
-	r.metrics.ReleaseHook(func(f *sim.Flow) { delete(r.registry, f.ID) })
+	r.metrics.ReleaseHook(func(f *sim.Flow) { r.registry.Delete(f.ID) })
 	return r
 }
 
@@ -236,7 +237,7 @@ func TestStragglerReACKWithPooledRecvFlow(t *testing.T) {
 		t.Fatal("flow A incomplete")
 	}
 	ep1 := r.eps[1]
-	if len(ep1.recvFlows) != 0 || r.registry[1] != nil {
+	if ep1.recvFlows.Len() != 0 || r.registry.Get(1) != nil {
 		t.Fatal("streaming retention did not release flow A's receiver state")
 	}
 	// The released recvFlow is in the pool; flow B must draw it back out.
@@ -249,7 +250,7 @@ func TestStragglerReACKWithPooledRecvFlow(t *testing.T) {
 	fB := r.flow(2, 0, 1, 30000) // 20 packets: still in flight below
 	r.eps[0].StartFlow(fB)
 	r.eng.RunUntil(r.eng.Now() + 5*eventsim.Microsecond)
-	if got := ep1.recvFlows[2]; got != pooled {
+	if got := ep1.recvFlows.Get(2); got != pooled {
 		t.Fatalf("flow B's recvFlow = %p, want the pooled object %p", got, pooled)
 	}
 
@@ -267,7 +268,7 @@ func TestStragglerReACKWithPooledRecvFlow(t *testing.T) {
 	if !fB.Done || fB.BytesRcvd != fB.Size {
 		t.Fatalf("flow B corrupted by straggler: done=%v rcvd=%d/%d", fB.Done, fB.BytesRcvd, fB.Size)
 	}
-	if len(ep1.recvFlows) != 0 {
+	if ep1.recvFlows.Len() != 0 {
 		t.Fatal("flow B's state not released after completion")
 	}
 }
@@ -285,18 +286,18 @@ func TestStragglerRetransmitConvergesAfterRelease(t *testing.T) {
 		t.Fatal("flow A incomplete")
 	}
 	ep0 := r.eps[0]
-	if len(ep0.sendFlows) != 0 {
+	if ep0.sendFlows.Len() != 0 {
 		t.Fatal("sender state not released after full ACK")
 	}
 	// The sender restarts the whole flow, as if no ACK had ever arrived.
 	// The receiver no longer knows the flow (registry pruned) and must
 	// re-ACK every packet from headers; the sender must converge to done.
 	r.eps[0].StartFlow(fA)
-	if len(ep0.sendFlows) != 1 {
+	if ep0.sendFlows.Len() != 1 {
 		t.Fatal("restart did not create sender state")
 	}
 	r.eng.RunUntil(r.eng.Now() + 50*eventsim.Millisecond)
-	if len(ep0.sendFlows) != 0 {
+	if ep0.sendFlows.Len() != 0 {
 		t.Fatal("sender did not converge via straggler re-ACKs")
 	}
 	if ep0.pools.send.Len() == 0 {

@@ -21,12 +21,13 @@ type rackAgent struct {
 	// nicFree models when each local host's NIC drains its granted bulk,
 	// so concurrent circuit sessions do not over-commit one host's uplink
 	// (the ToR "polls" only hosts that can actually transmit, §3.5).
-	nicFree map[int32]eventsim.Time
+	// Like vlbBudget, it is indexed by host ID minus firstHost, the rack's
+	// first host.
+	nicFree []eventsim.Time
 
 	// vlbBudget caps, per slice, how many VLB bytes may be carved from
 	// each host — a host can physically transmit only one window's worth,
 	// so offering more would strand carved bytes until the window closes.
-	// Indexed by host ID minus firstHost, the rack's first host.
 	vlbBudget []int64
 	firstHost int32
 
@@ -44,7 +45,7 @@ func newRackAgent(lb *LB, rack int) *rackAgent {
 		rack:      rack,
 		voq:       make([]segQueue, n),
 		relay:     make([]segQueue, n),
-		nicFree:   make(map[int32]eventsim.Time),
+		nicFree:   make([]eventsim.Time, hosts),
 		vlbBudget: make([]int64, hosts),
 		firstHost: int32(rack * hosts),
 	}
@@ -53,16 +54,12 @@ func newRackAgent(lb *LB, rack int) *rackAgent {
 // hostReady reports whether host h's NIC backlog is shallow enough to grant
 // another packet without risking queue overflow.
 func (a *rackAgent) hostReady(h int32, now, txTime eventsim.Time) bool {
-	return a.nicFree[h] <= now+4*txTime
+	return a.nicFree[h-a.firstHost] <= now+4*txTime
 }
 
 // grantTo accounts one packet of granted NIC time at host h.
 func (a *rackAgent) grantTo(h int32, now, txTime eventsim.Time) {
-	t := a.nicFree[h]
-	if t < now {
-		t = now
-	}
-	a.nicFree[h] = t + txTime
+	a.nicFree[h-a.firstHost] = max(a.nicFree[h-a.firstHost], now) + txTime
 }
 
 // QueuedFor returns (own, relayed) bytes queued toward dst.

@@ -17,6 +17,7 @@ package rotorlb
 import (
 	"github.com/opera-net/opera/internal/eventsim"
 	"github.com/opera-net/opera/internal/freelist"
+	"github.com/opera-net/opera/internal/idtable"
 	"github.com/opera-net/opera/internal/sim"
 )
 
@@ -65,8 +66,13 @@ func (q *segQueue) push(s segment) {
 	q.bytes += s.bytes
 }
 
+// pushFront requeues s at the head. It shifts the queue in place, growing
+// the backing array only when it is full, so a requeue allocates nothing in
+// steady state.
 func (q *segQueue) pushFront(s segment) {
-	q.segs = append([]segment{s}, q.segs...)
+	q.segs = append(q.segs, segment{})
+	copy(q.segs[1:], q.segs)
+	q.segs[0] = s
 	q.bytes += s.bytes
 }
 
@@ -127,7 +133,7 @@ func (q *segQueue) empty() bool { return q.bytes == 0 }
 type LB struct {
 	net      sim.CircuitNetwork
 	params   Params
-	registry map[int64]*sim.Flow
+	registry *idtable.Table[sim.Flow]
 	agents   []*rackAgent
 
 	// sessions pools closed circuit sessions for the next slice.
@@ -144,7 +150,7 @@ var _ sim.Transport = (*LB)(nil)
 // Attach installs RotorLB on the network: host handlers for bulk delivery
 // and NACKs, and a slice listener that opens transmission sessions. Call
 // before installing NDP (NDP chains unknown packets back here).
-func Attach(net sim.CircuitNetwork, params Params, registry map[int64]*sim.Flow) *LB {
+func Attach(net sim.CircuitNetwork, params Params, registry *idtable.Table[sim.Flow]) *LB {
 	lb := &LB{net: net, params: params, registry: registry}
 	if lb.params.VLBThresholdBytes == 0 {
 		// One cycle's worth of direct drainage for a rack pair: a shorter
@@ -187,7 +193,7 @@ func Attach(net sim.CircuitNetwork, params Params, registry map[int64]*sim.Flow)
 // requeueLocal returns a bulk packet that never left its host to the
 // appropriate queue.
 func (lb *LB) requeueLocal(h *sim.Host, p *sim.Packet) {
-	f := lb.registry[p.FlowID]
+	f := lb.registry.Get(p.FlowID)
 	if f == nil {
 		p.Release()
 		return
@@ -261,7 +267,7 @@ func (lb *LB) onSlice(abs int64) {
 // onBulk handles a bulk packet delivered to a host: final delivery or VLB
 // storage.
 func (lb *LB) onBulk(h *sim.Host, p *sim.Packet) {
-	f := lb.registry[p.FlowID]
+	f := lb.registry.Get(p.FlowID)
 	if f == nil {
 		p.Release()
 		return
@@ -285,7 +291,7 @@ func (lb *LB) onBulk(h *sim.Host, p *sim.Packet) {
 // onNack requeues bytes reported lost by a ToR (§4.2.2). The NACK arrives
 // at the host that transmitted the failed packet.
 func (lb *LB) onNack(h *sim.Host, p *sim.Packet) {
-	f := lb.registry[p.FlowID]
+	f := lb.registry.Get(p.FlowID)
 	if f == nil {
 		p.Release()
 		return

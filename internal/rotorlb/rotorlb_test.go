@@ -47,6 +47,41 @@ func TestSegQueuePushFront(t *testing.T) {
 	}
 }
 
+// pushFront shifts in place; the resulting order must match prepending to
+// a fresh slice, whatever the queue's length, capacity and consumed front.
+func TestSegQueuePushFrontOrder(t *testing.T) {
+	var q segQueue
+	var want []segment
+	for i := int32(0); i < 200; i++ {
+		s := seg(i, int64(100+i))
+		switch i % 5 {
+		case 0, 3:
+			q.pushFront(s)
+			want = append([]segment{s}, want...)
+		case 1:
+			q.push(s)
+			want = append(want, s)
+		case 2:
+			if _, ok := q.carve(1 << 40); ok {
+				want = want[1:]
+			}
+		case 4:
+			// An exhausted head: peekHost re-slices past it, leaving a
+			// consumed front in the backing array.
+			q.pushFront(segment{f: s.f, host: s.host})
+			q.peekHost()
+		}
+		if len(q.segs) != len(want) {
+			t.Fatalf("step %d: len %d, want %d", i, len(q.segs), len(want))
+		}
+		for j := range want {
+			if q.segs[j] != want[j] {
+				t.Fatalf("step %d: segs[%d] = %+v, want %+v", i, j, q.segs[j], want[j])
+			}
+		}
+	}
+}
+
 func TestSegQueuePeekHost(t *testing.T) {
 	var q segQueue
 	if _, ok := q.peekHost(); ok {

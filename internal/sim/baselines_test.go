@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/opera-net/opera/internal/eventsim"
+	"github.com/opera-net/opera/internal/idtable"
 	"github.com/opera-net/opera/internal/ndp"
 	"github.com/opera-net/opera/internal/rotorlb"
 	"github.com/opera-net/opera/internal/sim"
@@ -27,7 +28,7 @@ func TestExpanderNetDelivery(t *testing.T) {
 	topo := topology.MustNewExpander(32, 4, 5, 1)
 	eng := eventsim.New()
 	net := sim.NewExpanderNet(eng, sim.DefaultConfig(), topo, 7)
-	registry := make(map[int64]*sim.Flow)
+	registry := &idtable.Table[sim.Flow]{}
 	eps := ndp.Attach(net.Hosts(), net.Metrics(), ndp.DefaultParams(), registry)
 
 	n := topo.NumHosts()
@@ -38,7 +39,7 @@ func TestExpanderNetDelivery(t *testing.T) {
 			SrcRack: int32(topo.HostRack(i)), DstRack: int32(topo.HostRack((i + 37) % n)),
 			Size: 50000, Class: sim.ClassLowLatency,
 		}
-		registry[f.ID] = f
+		registry.Put(f.ID, f)
 		net.Metrics().AddFlow(f)
 		flows = append(flows, f)
 	}
@@ -59,7 +60,7 @@ func TestClosNetDelivery(t *testing.T) {
 	topo := topology.MustNewFoldedClos(8, 3) // 192 hosts: 24 ToRs × 8... (k=8,F=3: d=6,u=2)
 	eng := eventsim.New()
 	net := sim.NewClosNet(eng, sim.DefaultConfig(), topo, 7)
-	registry := make(map[int64]*sim.Flow)
+	registry := &idtable.Table[sim.Flow]{}
 	eps := ndp.Attach(net.Hosts(), net.Metrics(), ndp.DefaultParams(), registry)
 
 	n := topo.NumHosts()
@@ -70,7 +71,7 @@ func TestClosNetDelivery(t *testing.T) {
 			SrcRack: int32(topo.HostToR(i)), DstRack: int32(topo.HostToR(dst)),
 			Size: 30000, Class: sim.ClassLowLatency,
 		}
-		registry[f.ID] = f
+		registry.Put(f.ID, f)
 		net.Metrics().AddFlow(f)
 		eps[i].StartFlow(f)
 	}
@@ -88,10 +89,10 @@ func TestClosNetRackLocal(t *testing.T) {
 	topo := topology.MustNewFoldedClos(8, 3)
 	eng := eventsim.New()
 	net := sim.NewClosNet(eng, sim.DefaultConfig(), topo, 7)
-	registry := make(map[int64]*sim.Flow)
+	registry := &idtable.Table[sim.Flow]{}
 	eps := ndp.Attach(net.Hosts(), net.Metrics(), ndp.DefaultParams(), registry)
 	f := &sim.Flow{ID: 1, SrcHost: 0, DstHost: 1, SrcRack: 0, DstRack: 0, Size: 1500, Class: sim.ClassLowLatency}
-	registry[1] = f
+	registry.Put(1, f)
 	net.Metrics().AddFlow(f)
 	eps[0].StartFlow(f)
 	if !runFlows(t, eng, net.Metrics(), 10*eventsim.Millisecond) {
@@ -102,14 +103,14 @@ func TestClosNetRackLocal(t *testing.T) {
 	}
 }
 
-func newRotorTestbed(t *testing.T, hybrid bool) (*eventsim.Engine, *sim.RotorNetSim, *rotorlb.LB, []*ndp.Endpoint, map[int64]*sim.Flow) {
+func newRotorTestbed(t *testing.T, hybrid bool) (*eventsim.Engine, *sim.RotorNetSim, *rotorlb.LB, []*ndp.Endpoint, *idtable.Table[sim.Flow]) {
 	t.Helper()
 	topo := topology.MustNewRotorNet(topology.RotorConfig{
 		NumRacks: 16, HostsPerRack: 4, Uplinks: 4, Hybrid: hybrid, Seed: 1,
 	})
 	eng := eventsim.New()
 	net := sim.NewRotorNetSim(eng, sim.DefaultConfig(), topo, 1)
-	registry := make(map[int64]*sim.Flow)
+	registry := &idtable.Table[sim.Flow]{}
 	lb := rotorlb.Attach(net, rotorlb.DefaultParams(), registry)
 	eps := ndp.Attach(net.Hosts(), net.Metrics(), ndp.DefaultParams(), registry)
 	net.Start()
@@ -129,7 +130,7 @@ func TestRotorNetBulkDelivery(t *testing.T) {
 			SrcRack: int32(i / 4), DstRack: int32(dst / 4),
 			Size: 300_000, Class: sim.ClassBulk,
 		}
-		registry[f.ID] = f
+		registry.Put(f.ID, f)
 		net.Metrics().AddFlow(f)
 		lb.StartFlow(f)
 	}
@@ -145,7 +146,7 @@ func TestRotorNetHybridLowLatency(t *testing.T) {
 		ID: 1, SrcHost: 0, DstHost: 60, SrcRack: 0, DstRack: 15,
 		Size: 6000, Class: sim.ClassLowLatency,
 	}
-	registry[1] = f
+	registry.Put(1, f)
 	net.Metrics().AddFlow(f)
 	eps[0].StartFlow(f)
 	if !runFlows(t, eng, net.Metrics(), 50*eventsim.Millisecond) {
@@ -165,7 +166,7 @@ func TestRotorNetNonHybridShortFlowLatency(t *testing.T) {
 		ID: 1, SrcHost: 0, DstHost: 60, SrcRack: 0, DstRack: 15,
 		Size: 6000, Class: sim.ClassBulk,
 	}
-	registry[1] = f
+	registry.Put(1, f)
 	net.Metrics().AddFlow(f)
 	lb.StartFlow(f)
 	if !runFlows(t, eng, net.Metrics(), 100*eventsim.Millisecond) {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/opera-net/opera/internal/eventsim"
+	"github.com/opera-net/opera/internal/idtable"
 	"github.com/opera-net/opera/internal/ndp"
 	"github.com/opera-net/opera/internal/rotorlb"
 	"github.com/opera-net/opera/internal/sim"
@@ -16,7 +17,7 @@ type testbed struct {
 	net      *sim.OperaNet
 	lb       *rotorlb.LB
 	eps      []*ndp.Endpoint
-	registry map[int64]*sim.Flow
+	registry *idtable.Table[sim.Flow]
 	nextID   int64
 }
 
@@ -33,7 +34,7 @@ func newTestbed(t *testing.T, racks, hostsPer, switches int) *testbed {
 	}
 	eng := eventsim.New()
 	net := sim.NewOperaNet(eng, sim.DefaultConfig(), topo, 7)
-	registry := make(map[int64]*sim.Flow)
+	registry := &idtable.Table[sim.Flow]{}
 	lb := rotorlb.Attach(net, rotorlb.DefaultParams(), registry)
 	eps := ndp.Attach(net.Hosts(), net.Metrics(), ndp.DefaultParams(), registry)
 	net.Start()
@@ -51,7 +52,7 @@ func (tb *testbed) flow(src, dst int, size int64, class sim.Class) *sim.Flow {
 		Size:    size,
 		Class:   class,
 	}
-	tb.registry[f.ID] = f
+	tb.registry.Put(f.ID, f)
 	tb.net.Metrics().AddFlow(f)
 	return f
 }

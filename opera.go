@@ -43,6 +43,7 @@ import (
 	"sync"
 
 	"github.com/opera-net/opera/internal/eventsim"
+	"github.com/opera-net/opera/internal/idtable"
 	"github.com/opera-net/opera/internal/ndp"
 	"github.com/opera-net/opera/internal/rotorlb"
 	"github.com/opera-net/opera/internal/sim"
@@ -189,16 +190,20 @@ type ClusterConfig struct {
 // Cluster is a simulated datacenter network plus attached transports: one
 // sim.Network and a service-class → Transport dispatch table.
 type Cluster struct {
-	cfg      ClusterConfig
-	eng      *eventsim.Engine
-	net      sim.Network
-	metrics  *sim.Metrics
-	hosts    []*sim.Host
-	registry map[int64]*sim.Flow
+	cfg     ClusterConfig
+	eng     *eventsim.Engine
+	net     sim.Network
+	metrics *sim.Metrics
+	hosts   []*sim.Host
+
+	// registry holds every admitted flow by ID (IDs come from nextID, so
+	// the table stays dense); the transports share it to resolve packets
+	// to flows.
+	registry idtable.Table[sim.Flow]
 	nextID   int64
 
 	// transports dispatches flow admission by service class.
-	transports map[sim.Class]sim.Transport
+	transports [sim.ClassBulk + 1]sim.Transport
 	lb         *rotorlb.LB // nil unless the fabric has circuits
 
 	// pumps counts sources added with AddSource that are not yet
@@ -259,12 +264,7 @@ func build(cfg ClusterConfig) (*Cluster, error) {
 		return nil, fmt.Errorf("opera: retention: %w", err)
 	}
 
-	c := &Cluster{
-		cfg:        cfg,
-		eng:        eventsim.New(),
-		registry:   make(map[int64]*sim.Flow),
-		transports: make(map[sim.Class]sim.Transport),
-	}
+	c := &Cluster{cfg: cfg, eng: eventsim.New()}
 	net, err := sim.Build(name, sim.BuildParams{
 		Engine:           c.eng,
 		Sim:              simCfg,
@@ -291,21 +291,21 @@ func build(cfg ClusterConfig) (*Cluster, error) {
 	// flows (the transports release their own per-flow state the same way).
 	c.metrics.SetRetention(cfg.Retention)
 	if cfg.Retention.Streaming() {
-		c.metrics.ReleaseHook(func(f *sim.Flow) { delete(c.registry, f.ID) })
+		c.metrics.ReleaseHook(func(f *sim.Flow) { c.registry.Delete(f.ID) })
 	}
 
 	// Bulk rides RotorLB wherever the fabric exposes circuits. RotorLB must
 	// attach before NDP: NDP chains packets it does not own back to the
 	// handler installed before it.
 	if cn, ok := net.(sim.CircuitNetwork); ok {
-		c.lb = rotorlb.Attach(cn, lbParams, c.registry)
+		c.lb = rotorlb.Attach(cn, lbParams, &c.registry)
 		c.transports[sim.ClassBulk] = c.lb
 	}
 	// Low-latency traffic rides NDP wherever an always-on packet path
 	// exists; on the static fabrics NDP carries bulk too (Class then only
 	// drives priority queueing, §5's "ideal priority queuing").
 	if net.PacketCapable() {
-		fab := ndp.AttachFabric(c.hosts, c.metrics, ndpParams, c.registry)
+		fab := ndp.AttachFabric(c.hosts, c.metrics, ndpParams, &c.registry)
 		c.transports[sim.ClassLowLatency] = fab
 		if c.transports[sim.ClassBulk] == nil {
 			c.transports[sim.ClassBulk] = fab
@@ -341,8 +341,14 @@ func (c *Cluster) Metrics() *sim.Metrics { return c.metrics }
 // Network exposes the underlying fabric.
 func (c *Cluster) Network() sim.Network { return c.net }
 
-// Transport returns the transport admitting flows of the given class.
-func (c *Cluster) Transport(class sim.Class) sim.Transport { return c.transports[class] }
+// Transport returns the transport admitting flows of the given class, or
+// nil for a class no flow is admitted under (sim.ClassControl).
+func (c *Cluster) Transport(class sim.Class) sim.Transport {
+	if int(class) >= len(c.transports) {
+		return nil
+	}
+	return c.transports[class]
+}
 
 // NumHosts returns the host count.
 func (c *Cluster) NumHosts() int { return len(c.hosts) }
@@ -452,16 +458,23 @@ func (c *Cluster) addFlow(spec workload.FlowSpec, class sim.Class) *sim.Flow {
 		Tag:     spec.Tag,
 		Start:   spec.Arrival,
 	}
-	c.registry[f.ID] = f
+	c.registry.Put(f.ID, f)
 	c.metrics.AddFlow(f)
-	start := func() { c.startFlow(f) }
 	if spec.Arrival <= c.eng.Now() {
-		start()
+		c.startFlow(f)
 	} else {
-		c.eng.At(spec.Arrival, start)
+		c.eng.AtCall(spec.Arrival, (*flowStarter)(c), f)
 	}
 	return f
 }
+
+// flowStarter is the cluster as the pre-bound handler of flows admitted
+// ahead of their arrival: the event carries the flow, so scheduling a
+// start allocates no closure.
+type flowStarter Cluster
+
+// OnEvent implements eventsim.Handler.
+func (s *flowStarter) OnEvent(arg any) { (*Cluster)(s).startFlow(arg.(*sim.Flow)) }
 
 // AddFlow registers and schedules a single flow; it starts at spec.Arrival
 // (virtual time, which must not be in the past).
