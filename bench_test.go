@@ -290,6 +290,21 @@ func BenchmarkClusterAddFlows(b *testing.B) {
 	b.ReportMetric(float64(mallocs)/flows, "allocs/flow")
 }
 
+// BenchmarkClusterBuild is the cluster-setup rung: opera.New at the §5
+// scale (108 racks × 6 hosts × 6 uplinks). It prices the topology, the
+// 108-slice routing-table cycle and the transports before any flow exists.
+func BenchmarkClusterBuild(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		cl, err := opera.New(opera.KindOpera,
+			opera.WithRacks(108), opera.WithHostsPerRack(6), opera.WithUplinks(6), opera.WithSeed(1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		cl.Stop()
+	}
+}
+
 // Ablation benches: the design choices DESIGN.md calls out.
 
 func BenchmarkAblationVLB(b *testing.B) {

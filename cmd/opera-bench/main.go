@@ -6,8 +6,10 @@
 // deep and sparse workloads for both pending-event stores
 // (BenchmarkEngineSchedule/{dense,deep,sparse}/{wheel,heap}), flow
 // admission through Cluster.AddFlow at the §5 scale
-// (BenchmarkClusterAddFlows: ns/flow and allocs/flow), and the end-to-end
-// Source-driven steady state (BenchmarkSourceSteadyState).
+// (BenchmarkClusterAddFlows: ns/flow and allocs/flow), cluster setup at
+// that scale (BenchmarkClusterBuild, and its routing-table cycle alone,
+// BenchmarkRoutingBuild), and the end-to-end Source-driven steady state
+// (BenchmarkSourceSteadyState).
 // Every run passes -benchmem, so B/op and allocs/op are measured even for
 // benchmarks that do not call ReportAllocs.
 //
@@ -39,7 +41,9 @@ type run struct {
 var runs = []run{
 	{pkg: "./internal/sim/", pattern: "^BenchmarkPortEnqueue", time: "1s"},
 	{pkg: "./internal/eventsim/", pattern: "^BenchmarkEngineSchedule$", time: "1s"},
+	{pkg: "./internal/routing/", pattern: "^BenchmarkRoutingBuild$", time: "1s"},
 	{pkg: ".", pattern: "^Benchmark(ClusterAddFlows|SourceSteadyState)$", time: "1x"},
+	{pkg: ".", pattern: "^BenchmarkClusterBuild$", time: "1s"},
 }
 
 // Result is one benchmark line, parsed.

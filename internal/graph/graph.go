@@ -24,7 +24,6 @@ const Unreachable = -1
 type Graph struct {
 	n   int
 	adj [][]int32
-	set []map[int32]struct{} // lazily built edge membership for AddEdge dedup
 }
 
 // New returns an empty graph with n nodes.
@@ -35,7 +34,6 @@ func New(n int) *Graph {
 	return &Graph{
 		n:   n,
 		adj: make([][]int32, n),
-		set: make([]map[int32]struct{}, n),
 	}
 }
 
@@ -69,11 +67,8 @@ func (g *Graph) AddEdge(a, b int) {
 	if g.hasEdge(a, b) {
 		return
 	}
-	g.ensureSet(b)
 	g.adj[a] = append(g.adj[a], int32(b))
 	g.adj[b] = append(g.adj[b], int32(a))
-	g.set[a][int32(b)] = struct{}{}
-	g.set[b][int32(a)] = struct{}{}
 }
 
 // HasEdge reports whether the undirected edge (a, b) is present.
@@ -84,21 +79,15 @@ func (g *Graph) HasEdge(a, b int) bool {
 	return g.hasEdge(a, b)
 }
 
+// hasEdge scans a's adjacency list. Degrees are port counts (tens at
+// most), so a scan is cheaper than keeping a membership map per node.
 func (g *Graph) hasEdge(a, b int) bool {
-	g.ensureSet(a)
-	_, ok := g.set[a][int32(b)]
-	return ok
-}
-
-// ensureSet lazily (re)builds the membership map for node v from its
-// adjacency list.
-func (g *Graph) ensureSet(v int) {
-	if g.set[v] == nil {
-		g.set[v] = make(map[int32]struct{}, 8)
-		for _, x := range g.adj[v] {
-			g.set[v][x] = struct{}{}
+	for _, x := range g.adj[a] {
+		if int(x) == b {
+			return true
 		}
 	}
+	return false
 }
 
 // Clone returns a deep copy of the graph.
@@ -117,7 +106,6 @@ func (g *Graph) RemoveNode(v int) {
 		g.removeDirected(int(nb), v)
 	}
 	g.adj[v] = g.adj[v][:0]
-	g.set[v] = nil
 }
 
 // RemoveEdge deletes the undirected edge (a, b) if present.
@@ -137,9 +125,6 @@ func (g *Graph) removeDirected(from, to int) {
 			g.adj[from] = ns[:len(ns)-1]
 			break
 		}
-	}
-	if g.set[from] != nil {
-		delete(g.set[from], int32(to))
 	}
 }
 

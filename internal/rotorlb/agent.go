@@ -110,10 +110,10 @@ func (a *rackAgent) negotiateVLB(peer int, spare int64, vlbQ *segQueue) {
 		if spare <= 0 {
 			return
 		}
-		if dst == peer || dst == a.rack {
-			continue
-		}
 		q := &a.voq[dst]
+		if q.bytes == 0 || dst == peer || dst == a.rack {
+			continue // nothing to offload: skip the reachability lookups
+		}
 		threshold := a.lb.params.VLBThresholdBytes
 		if !net.DirectReachable(a.rack, dst) {
 			// Failures severed this pair's direct matching: no direct

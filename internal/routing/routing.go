@@ -6,7 +6,9 @@
 // port maps (which uplink reaches which rack during which slice), retaining
 // every equal-cost uplink so the simulator can spray packets across the
 // path diversity of each slice, and validates the loop-freedom invariant
-// that makes ε a sound drain bound.
+// that makes ε a sound drain bound. A slice's tables come from one
+// bit-parallel BFS that advances every rack's frontier a level at a time
+// over ⌈N/64⌉-word bitsets.
 //
 // The same builder serves the static expander baseline (a single eternal
 // "slice") and the failure analysis (port maps with failed links masked
@@ -52,6 +54,16 @@ type Tables struct {
 
 // Build constructs tables from one PortMap per slice. All maps must agree
 // on rack and uplink counts, and uplinks must be at most 32.
+//
+// Each slice runs one level-synchronous BFS from every rack at once over
+// bitsets of ⌈N/64⌉ words. Level L₀[v] = {v}; level Lⱼ[v] is the union of
+// Lⱼ₋₁ over v's uplink peers, minus every rack v has already seen. A rack
+// dst in Lⱼ[v] is j hops away, and uplink k of v is on a shortest path to
+// it exactly when dst is also in Lⱼ₋₁[peerₖ(v)] — its peer is one hop
+// closer. Links are directed (uplink k of v reaches peerₖ(v)), so
+// asymmetric and partly dark maps get the same tables as a per-source BFS.
+// The level and seen bitsets are reused across slices, so the allocation
+// count does not grow with the slice count.
 func Build(maps []PortMap) (*Tables, error) {
 	if len(maps) == 0 {
 		return nil, fmt.Errorf("routing: no port maps")
@@ -61,6 +73,11 @@ func Build(maps []PortMap) (*Tables, error) {
 	if u > 32 {
 		return nil, fmt.Errorf("routing: %d uplinks exceed 32-bit mask", u)
 	}
+	for s, pm := range maps {
+		if len(pm) != n || pm.NumUplinks() != u {
+			return nil, fmt.Errorf("routing: slice %d port map has inconsistent shape", s)
+		}
+	}
 	t := &Tables{
 		N:      n,
 		U:      u,
@@ -68,70 +85,81 @@ func Build(maps []PortMap) (*Tables, error) {
 		dist:   make([]uint8, len(maps)*n*n),
 		mask:   make([]uint32, len(maps)*n*n),
 	}
-	// Scratch BFS state reused across slices.
-	distFrom := make([][]int32, n) // distFrom[v] filled per slice
-	for i := range distFrom {
-		distFrom[i] = make([]int32, n)
-	}
-	queue := make([]int32, 0, n)
-
+	w := (n + 63) / 64
+	scratch := make([]uint64, 3*n*w)
+	prev, cur, seen := scratch[:n*w:n*w], scratch[n*w:2*n*w:2*n*w], scratch[2*n*w:]
 	for s, pm := range maps {
-		if len(pm) != n || pm.NumUplinks() != u {
-			return nil, fmt.Errorf("routing: slice %d port map has inconsistent shape", s)
-		}
-		// BFS from every rack over this slice's connectivity.
-		for src := 0; src < n; src++ {
-			d := distFrom[src]
-			for i := range d {
-				d[i] = -1
-			}
-			d[src] = 0
-			queue = queue[:0]
-			queue = append(queue, int32(src))
-			for len(queue) > 0 {
-				v := queue[0]
-				queue = queue[1:]
-				for _, peer := range pm[v] {
-					if peer < 0 || peer == v {
-						continue
-					}
-					if d[peer] == -1 {
-						d[peer] = d[v] + 1
-						queue = append(queue, peer)
-					}
-				}
-			}
-		}
-		// Fill next-hop masks: uplink k of src helps toward dst iff its
-		// peer is one hop closer.
-		base := s * n * n
-		for src := 0; src < n; src++ {
-			dSrc := distFrom[src]
-			for dst := 0; dst < n; dst++ {
-				idx := base + src*n + dst
-				if dst == src {
-					t.dist[idx] = 0
-					continue
-				}
-				if dSrc[dst] < 0 {
-					t.dist[idx] = Unreachable
-					continue
-				}
-				t.dist[idx] = uint8(dSrc[dst])
-				var m uint32
-				for k, peer := range pm[src] {
-					if peer < 0 || int(peer) == src {
-						continue
-					}
-					if distFrom[peer][dst] == dSrc[dst]-1 {
-						m |= 1 << uint(k)
-					}
-				}
-				t.mask[idx] = m
-			}
-		}
+		lo, hi := s*n*n, (s+1)*n*n
+		buildSlice(pm, t.dist[lo:hi], t.mask[lo:hi], prev, cur, seen)
 	}
 	return t, nil
+}
+
+// buildSlice fills one slice's n×n dist and mask rows from its port map;
+// prev, cur and seen are n rows of ⌈n/64⌉-word bitsets.
+func buildSlice(pm PortMap, dist []uint8, mask []uint32, prev, cur, seen []uint64) {
+	n := len(pm)
+	w := (n + 63) / 64
+	for i := range dist {
+		dist[i] = Unreachable
+	}
+	clear(prev)
+	clear(seen)
+	for v := 0; v < n; v++ {
+		bit := uint64(1) << uint(v%64)
+		prev[v*w+v/64] = bit
+		seen[v*w+v/64] = bit
+		dist[v*n+v] = 0
+	}
+	for j := 1; ; j++ {
+		grew := false
+		for v := 0; v < n; v++ {
+			next := cur[v*w : (v+1)*w]
+			clear(next)
+			// A self-loop peer adds nothing: Lⱼ₋₁[v] is already in seen[v].
+			for _, peer := range pm[v] {
+				if peer < 0 {
+					continue
+				}
+				for i, x := range prev[int(peer)*w : (int(peer)+1)*w] {
+					next[i] |= x
+				}
+			}
+			var fresh uint64
+			sv := seen[v*w : (v+1)*w]
+			for i := range next {
+				next[i] &^= sv[i]
+				sv[i] |= next[i]
+				fresh |= next[i]
+			}
+			if fresh == 0 {
+				continue
+			}
+			grew = true
+			row := dist[v*n : (v+1)*n]
+			for i, x := range next {
+				for ; x != 0; x &= x - 1 {
+					row[i*64+bits.TrailingZeros64(x)] = uint8(j)
+				}
+			}
+			mrow := mask[v*n : (v+1)*n]
+			for k, peer := range pm[v] {
+				if peer < 0 {
+					continue
+				}
+				pp := prev[int(peer)*w : (int(peer)+1)*w]
+				for i, x := range next {
+					for x &= pp[i]; x != 0; x &= x - 1 {
+						mrow[i*64+bits.TrailingZeros64(x)] |= 1 << uint(k)
+					}
+				}
+			}
+		}
+		if !grew {
+			return
+		}
+		prev, cur = cur, prev
+	}
 }
 
 // MustBuild is Build but panics on error.
@@ -243,13 +271,18 @@ func (t *Tables) Validate(maps []PortMap) error {
 // switch k is transitioning (drain rule, §3.1.1) or the matching entry is a
 // self-loop.
 func OperaPortMaps(o *topology.Opera) []PortMap {
-	maps := make([]PortMap, o.SlicesPerCycle())
+	slices, n, u := o.SlicesPerCycle(), o.NumRacks(), o.Uplinks()
+	// Every slice's rows are carved from two backing arrays.
+	maps := make([]PortMap, slices)
+	rows := make([][]int32, slices*n)
+	cells := make([]int32, slices*n*u)
 	for s := range maps {
-		pm := make(PortMap, o.NumRacks())
+		pm := PortMap(rows[s*n : (s+1)*n : (s+1)*n])
 		for r := range pm {
-			pm[r] = make([]int32, o.Uplinks())
+			off := (s*n + r) * u
+			pm[r] = cells[off : off+u : off+u]
 		}
-		for sw := 0; sw < o.Uplinks(); sw++ {
+		for sw := 0; sw < u; sw++ {
 			if o.IsTransitioning(sw, s) {
 				for r := range pm {
 					pm[r][sw] = -1

@@ -131,7 +131,10 @@ func TestOperaTables(t *testing.T) {
 	}
 	// Transitioning switches must never appear in masks.
 	for s := 0; s < tb.Slices; s++ {
-		for _, sw := range o.Transitioning(s) {
+		for sw := 0; sw < o.Uplinks(); sw++ {
+			if !o.IsTransitioning(sw, s) {
+				continue
+			}
 			for a := 0; a < tb.N; a++ {
 				for b := 0; b < tb.N; b++ {
 					if tb.Mask(s, a, b)&(1<<uint(sw)) != 0 {
@@ -269,16 +272,5 @@ func TestCountRulesMatchesModel(t *testing.T) {
 	model := RuleCount(n, u)
 	if diff := model - (ll + bulk); diff < 0 || diff > o.Config().GroupSize {
 		t.Fatalf("model %d vs measured %d", model, ll+bulk)
-	}
-}
-
-func BenchmarkBuildOperaTables108(b *testing.B) {
-	o := topology.MustNewOpera(topology.Config{
-		NumRacks: 108, HostsPerRack: 6, NumSwitches: 6, Seed: 1,
-	})
-	maps := OperaPortMaps(o)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = MustBuild(maps)
 	}
 }

@@ -73,7 +73,6 @@ type Opera struct {
 	matchings []Matching // N total; switch j owns [j*m, (j+1)*m)
 	perSwitch int        // m = N / NumSwitches
 	slices    int        // slices per cycle = GroupSize * m
-	groups    int        // NumSwitches / GroupSize
 
 	pairSwitch []int8 // lazily built: which switch's matching holds (a,b)
 }
@@ -121,7 +120,6 @@ func NewOpera(cfg Config) (*Opera, error) {
 			cfg:       cfg,
 			matchings: ms,
 			perSwitch: cfg.NumRacks / cfg.NumSwitches,
-			groups:    cfg.NumSwitches / cfg.GroupSize,
 		}
 		o.slices = cfg.GroupSize * o.perSwitch
 		if o.allSlicesConnected() {
@@ -209,20 +207,10 @@ func (o *Opera) SliceStart(absSlice int64) eventsim.Time {
 	return eventsim.Time(absSlice) * o.SliceDuration()
 }
 
-// Transitioning returns the switches that reconfigure during slice s: one
-// per stagger group. Their circuits must not accept new traffic during s
-// (the drain window) and go dark for the final r of the slice.
-func (o *Opera) Transitioning(slice int) []int {
-	slice = o.norm(slice)
-	phase := slice % o.cfg.GroupSize
-	out := make([]int, o.groups)
-	for h := 0; h < o.groups; h++ {
-		out[h] = h*o.cfg.GroupSize + phase
-	}
-	return out
-}
-
-// IsTransitioning reports whether switch sw reconfigures during slice s.
+// IsTransitioning reports whether switch sw reconfigures during slice s:
+// one switch per stagger group does. Its circuits must not accept new
+// traffic during s (the drain window) and go dark for the final r of the
+// slice.
 func (o *Opera) IsTransitioning(sw, slice int) bool {
 	slice = o.norm(slice)
 	return sw%o.cfg.GroupSize == slice%o.cfg.GroupSize

@@ -124,19 +124,17 @@ func TestOperaTransitioningSets(t *testing.T) {
 	cfg := Config{NumRacks: 36, HostsPerRack: 3, NumSwitches: 6, GroupSize: 3, Seed: 1}
 	o := MustNewOpera(cfg)
 	for s := 0; s < o.SlicesPerCycle(); s++ {
-		tr := o.Transitioning(s)
-		if len(tr) != 2 {
-			t.Fatalf("slice %d: %d transitioning, want 2", s, len(tr))
+		// Exactly one switch per stagger group transitions.
+		perGroup := make([]int, cfg.NumSwitches/cfg.GroupSize)
+		for sw := 0; sw < cfg.NumSwitches; sw++ {
+			if o.IsTransitioning(sw, s) {
+				perGroup[sw/cfg.GroupSize]++
+			}
 		}
-		seen := map[int]bool{}
-		for _, sw := range tr {
-			if !o.IsTransitioning(sw, s) {
-				t.Fatalf("inconsistent transitioning report at slice %d switch %d", s, sw)
+		for h, c := range perGroup {
+			if c != 1 {
+				t.Fatalf("slice %d: group %d has %d transitioning switches, want 1", s, h, c)
 			}
-			if seen[sw] {
-				t.Fatalf("duplicate switch in transitioning set")
-			}
-			seen[sw] = true
 		}
 	}
 }
@@ -335,7 +333,13 @@ func TestOperaGroupingCutsCycle(t *testing.T) {
 	if grouped.SlicesPerCycle() != 24 {
 		t.Fatalf("grouped cycle = %d, want 24", grouped.SlicesPerCycle())
 	}
-	if len(grouped.Transitioning(0)) != 2 {
+	transitioning := 0
+	for sw := 0; sw < cfg.NumSwitches; sw++ {
+		if grouped.IsTransitioning(sw, 0) {
+			transitioning++
+		}
+	}
+	if transitioning != 2 {
 		t.Fatalf("grouped should transition 2 switches per slice")
 	}
 }
